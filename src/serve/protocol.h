@@ -68,7 +68,7 @@ enum class Op : std::uint8_t {
     kTopDegree,     ///< k highest-degree vertices (degree centrality)
     kTopRank,       ///< k highest-PageRank vertices
     kIngest,        ///< append an edge-update batch (new epoch)
-    kCompact,       ///< force delta compaction (new epoch)
+    kCompact,       ///< force a compaction (new epoch)
     kStats,         ///< server statistics as crono.serve.v1 JSON
 };
 

@@ -172,7 +172,8 @@ QueryEngine::degreeOrder(const Snapshot& snap)
     auto order = std::make_shared<TopOrder>();
     order->reserve(n);
     for (graph::VertexId v = 0; v < n; ++v) {
-        order->emplace_back(snap.degree(v), snap.toExternal(v));
+        order->emplace_back(snap.materialized().degree(v),
+                            snap.toExternal(v));
     }
     const std::size_t keep =
         std::min<std::size_t>(order->size(), kMaxTopK);
@@ -219,12 +220,14 @@ QueryEngine::execute(const Request& req)
 {
     switch (req.op) {
       case Op::kIngest: {
-        // Kernel mutex held: compaction (auto or forced) runs
-        // reorderGraph, which records on the (kHost, 0) obs track —
-        // the same single-writer track the kernels' host spans use.
-        std::lock_guard<std::mutex> lock(kernelMutex_);
+        // The merge runs beside the kernels; a due compaction takes
+        // the kernel mutex (see the file header).
         std::uint64_t epoch = 0;
         const Status s = store_.ingestBatch(req.edges, &epoch);
+        if (s == Status::kOk && store_.compactionDue()) {
+            std::lock_guard<std::mutex> lock(kernelMutex_);
+            store_.compact();
+        }
         Response r = errorResponse(req.id, s, epoch);
         if (s == Status::kOk) {
             r.values.push_back(req.edges.size());

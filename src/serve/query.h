@@ -16,7 +16,10 @@
  * regions may not overlap — but cache hits bypass it entirely: the
  * common steady state (many clients, few distinct sources, ingest
  * every few seconds) answers most requests from immutable cached
- * arrays with no lock but the LRU's own.
+ * arrays with no lock but the LRU's own. Ingests run beside the
+ * kernels; only a compaction (due after an ingest, or a kCompact)
+ * takes the kernel mutex, because reorderGraph records on the host
+ * obs track the kernels write.
  *
  * Determinism: BFS levels, SSSP distances and component labels are
  * deterministic outright; PageRank runs in gather mode (fixed CSR
@@ -42,7 +45,6 @@
 
 #include "common/aligned.h"
 #include "runtime/executor.h"
-#include "serve/delta_csr.h"
 #include "serve/protocol.h"
 #include "serve/store.h"
 
@@ -145,7 +147,9 @@ class QueryEngine {
     QueryConfig config_;
     std::function<std::string()> statsFn_;
 
-    std::mutex kernelMutex_; ///< executor regions may not overlap
+    /// Executor regions may not overlap; compaction shares the host
+    /// obs track, so it holds this too.
+    std::mutex kernelMutex_;
 
     struct CacheEntry {
         std::uint64_t epoch;

@@ -10,9 +10,10 @@
  * serve the whole batch against ONE pinned snapshot: consecutive
  * requests touch one contiguous, reordering-packed vertex range and
  * one epoch's caches, which is the server-side payoff of the PR-5
- * layouts. The ingest thread applies edge batches through the store
- * (publishing new epochs, auto-compacting) without ever blocking
- * readers — in-flight query batches keep their pinned epochs.
+ * layouts. The ingest thread merges edge batches through the store,
+ * publishing one epoch per batch beside the running kernels; only a
+ * compaction serializes with them, on the engine's kernel mutex.
+ * In-flight query batches keep their pinned epochs throughout.
  *
  * Latency accounting: every request is stamped at enqueue and its
  * class histogram (obs::LogHistogram, nanoseconds) updated when the

@@ -1,18 +1,102 @@
 /**
  * @file
- * GraphStore: epoch publication, ingest validation/mirroring, and the
- * compaction that folds the overlay back through the PR-5 reordering
- * machinery.
+ * GraphStore: epoch publication, ingest validation/mirroring, the
+ * merge of each batch into a fresh CSR, and compaction as a re-run of
+ * the PR-5 reordering.
  */
 
 #include "serve/store.h"
 
+#include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
 
 namespace crono::serve {
+
+namespace {
+
+/** Compaction is also due once this many slots were ingested. */
+constexpr std::uint64_t kCompactDeltaEdges = 1u << 16;
+
+/**
+ * @p g plus the directed edge slots of @p batch. Row ranges the batch
+ * does not touch are copied as blocks; each touched row is merged with
+ * its new slots in (dst, weight) order, the order every builder and
+ * permuteGraph row already has, so the result equals a keepAll build
+ * of the same edge multiset.
+ */
+graph::Graph
+mergeBatch(const graph::Graph& g, std::vector<graph::Edge> batch)
+{
+    std::sort(batch.begin(), batch.end(),
+              [](const graph::Edge& a, const graph::Edge& b) {
+                  return std::tie(a.src, a.dst, a.weight) <
+                         std::tie(b.src, b.dst, b.weight);
+              });
+    const graph::VertexId n = g.numVertices();
+    const AlignedVector<graph::EdgeId>& off = g.rawOffsets();
+    const AlignedVector<graph::VertexId>& nbr = g.rawNeighbors();
+    const AlignedVector<graph::Weight>& wt = g.rawWeights();
+    AlignedVector<graph::EdgeId> offsets(n + 1);
+    AlignedVector<graph::VertexId> neighbors(nbr.size() + batch.size());
+    AlignedVector<graph::Weight> weights(neighbors.size());
+
+    // Rows [from, to) are copied whole, `shift` slots further on.
+    graph::VertexId from = 0;
+    graph::EdgeId shift = 0;
+    const auto copyRows = [&](graph::VertexId to) {
+        for (graph::VertexId v = from; v <= to; ++v) {
+            offsets[v] = off[v] + shift;
+        }
+        std::copy(nbr.begin() + off[from], nbr.begin() + off[to],
+                  neighbors.begin() + offsets[from]);
+        std::copy(wt.begin() + off[from], wt.begin() + off[to],
+                  weights.begin() + offsets[from]);
+    };
+    for (std::size_t i = 0; i < batch.size();) {
+        const graph::VertexId v = batch[i].src;
+        copyRows(v);
+        graph::EdgeId old = off[v];
+        graph::EdgeId at = offsets[v];
+        const auto keepOld = [&] {
+            neighbors[at] = nbr[old];
+            weights[at++] = wt[old++];
+        };
+        for (; i < batch.size() && batch[i].src == v; ++i) {
+            const graph::Edge& e = batch[i];
+            while (old < off[v + 1] &&
+                   std::tie(nbr[old], wt[old]) <= std::tie(e.dst, e.weight)) {
+                keepOld();
+            }
+            neighbors[at] = e.dst;
+            weights[at++] = e.weight;
+            ++shift;
+        }
+        while (old < off[v + 1]) {
+            keepOld();
+        }
+        from = v + 1;
+    }
+    copyRows(n);
+    return graph::Graph(std::move(offsets), std::move(neighbors),
+                        std::move(weights), g.undirected());
+}
+
+} // namespace
+
+Snapshot::Snapshot(std::uint64_t epoch, graph::Graph graph,
+                   std::shared_ptr<const graph::VertexPermutation> perm,
+                   std::uint64_t delta_edges, std::uint32_t delta_depth)
+    : epoch_(epoch), graph_(std::move(graph)), perm_(std::move(perm)),
+      deltaEdges_(delta_edges), deltaDepth_(delta_depth)
+{
+    CRONO_REQUIRE(perm_ != nullptr, "snapshot needs a permutation");
+    CRONO_REQUIRE(perm_->size() == graph_.numVertices(),
+                  "permutation does not cover the graph");
+}
 
 GraphStore::GraphStore(graph::Graph external, StoreConfig config)
     : config_(config)
@@ -23,10 +107,10 @@ GraphStore::GraphStore(graph::Graph external, StoreConfig config)
     undirected_ = external.undirected();
     graph::ReorderedGraph rg = graph::reorderGraph(
         external, config_.reordering, config_.blocked_layout);
-    base_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
     perm_ = std::make_shared<const graph::VertexPermutation>(
         std::move(rg.perm));
-    publish(std::make_shared<const Snapshot>(1, base_, perm_, nullptr));
+    publish(std::make_shared<const Snapshot>(1, std::move(rg.graph),
+                                             perm_));
 }
 
 std::shared_ptr<const Snapshot>
@@ -66,8 +150,8 @@ GraphStore::ingestBatch(std::span<const graph::Edge> edges,
 
     const std::shared_ptr<const Snapshot> cur = snapshot();
 
-    // Map into the current internal id space, mirroring as the base
-    // does so the overlay slots compose with CSR rows seamlessly.
+    // Map into the current internal id space, mirroring as the CSR
+    // does so the new slots compose with its rows seamlessly.
     std::vector<graph::Edge> internal;
     internal.reserve(static_cast<std::size_t>(accepted) *
                      (undirected_ ? 2 : 1));
@@ -83,65 +167,39 @@ GraphStore::ingestBatch(std::span<const graph::Edge> edges,
         }
     }
 
-    auto batch = std::make_shared<const DeltaBatch>(std::move(internal),
-                                                    cur->deltaChain());
+    const std::uint64_t slots = internal.size();
     const std::uint64_t epoch = cur->epoch() + 1;
-    publish(std::make_shared<const Snapshot>(epoch, base_, perm_,
-                                             std::move(batch)));
+    publish(std::make_shared<const Snapshot>(
+        epoch, mergeBatch(cur->materialized(), std::move(internal)),
+        perm_, cur->deltaEdges() + slots, cur->deltaDepth() + 1));
     batches_.fetch_add(1, std::memory_order_relaxed);
     edges_.fetch_add(accepted, std::memory_order_relaxed);
     if (epoch_out != nullptr) {
         *epoch_out = epoch;
     }
-
-    const std::shared_ptr<const Snapshot> now = snapshot();
-    if (now->deltaEdges() >= config_.compact_delta_edges ||
-        now->deltaDepth() >= config_.compact_batches) {
-        compactLocked();
-    }
     return Status::kOk;
+}
+
+bool
+GraphStore::compactionDue() const
+{
+    const std::shared_ptr<const Snapshot> cur = snapshot();
+    return cur->deltaEdges() >= kCompactDeltaEdges ||
+           cur->deltaDepth() >= config_.compact_batches;
 }
 
 std::uint64_t
 GraphStore::compact()
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    return compactLocked();
-}
-
-std::uint64_t
-GraphStore::compactLocked()
-{
     const std::shared_ptr<const Snapshot> cur = snapshot();
-    const graph::Graph& mat = cur->materialized();
-
-    // Reconstruct the logical edge list in external ids. Undirected
-    // bases store both directions of every logical edge, so emitting
-    // the v < dst slot of each pair (self loops cannot exist) yields
-    // each parallel edge exactly once; the builder re-mirrors.
-    graph::GraphBuilder builder(numVertices_, undirected_);
-    for (graph::VertexId v = 0; v < mat.numVertices(); ++v) {
-        const graph::VertexId ext_src = cur->toExternal(v);
-        const std::span<const graph::VertexId> nbr = mat.neighbors(v);
-        const std::span<const graph::Weight> w = mat.weights(v);
-        for (std::size_t i = 0; i < nbr.size(); ++i) {
-            if (undirected_ && v >= nbr[i]) {
-                continue;
-            }
-            builder.addEdge(ext_src, cur->toExternal(nbr[i]), w[i]);
-        }
-    }
-    builder.withReordering(config_.reordering)
-        .withBlockedLayout(config_.blocked_layout);
-    graph::ReorderedGraph rg = std::move(builder).buildReordered(
-        graph::GraphBuilder::DedupPolicy::keepAll);
-
-    base_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
+    graph::ReorderedGraph rg = graph::reorderGraph(
+        cur->materialized(), config_.reordering, config_.blocked_layout);
     perm_ = std::make_shared<const graph::VertexPermutation>(
-        std::move(rg.perm));
+        cur->perm().composedWith(rg.perm));
     const std::uint64_t epoch = cur->epoch() + 1;
-    publish(std::make_shared<const Snapshot>(epoch, base_, perm_,
-                                             nullptr));
+    publish(std::make_shared<const Snapshot>(epoch, std::move(rg.graph),
+                                             perm_));
     compactions_.fetch_add(1, std::memory_order_relaxed);
     return epoch;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * GraphStore: the single-writer, many-reader owner of one served
- * graph (DESIGN.md §17.2).
+ * GraphStore and its epoch snapshots: the single-writer, many-reader
+ * owner of one served graph (DESIGN.md §17.2).
  *
  * Concurrency model:
  *  - Readers call snapshot() and get a shared_ptr<const Snapshot>;
@@ -10,19 +10,24 @@
  *  - Writers (the server's ingest thread, or a test calling
  *    ingestBatch directly) serialize on an internal mutex. An ingest
  *    validates the batch in the external id space, maps it through
- *    the current epoch's permutation, mirrors it if the base is
- *    undirected, chains a DeltaBatch, and publishes epoch+1.
- *  - Compaction runs on the same writer mutex: it reconstructs the
- *    external edge list from the current epoch's materialized graph,
- *    rebuilds through GraphBuilder with the configured Reordering and
- *    blocked layout (re-running the PR-5 machinery on the grown
- *    graph), and publishes a snapshot with an empty overlay. The edge
- *    multiset is preserved exactly (DedupPolicy::keepAll), so
- *    compaction is semantically invisible: epoch E+1 answers every
- *    query identically to E.
+ *    the current epoch's permutation, mirrors it if the graph is
+ *    undirected, merges it into a copy of the current epoch's CSR
+ *    (untouched row ranges copied as blocks, touched rows merged in
+ *    (dst, weight) order), and publishes epoch+1 owning that CSR.
+ *    Every epoch is therefore a plain, ready CSR: kernels never pay
+ *    a merge on the query path.
+ *  - Compaction runs on the same writer mutex: it re-runs the
+ *    configured Reordering and blocked layout on the current epoch's
+ *    CSR — the same reorderGraph call the constructor makes — and
+ *    composes the new permutation onto the old one. The edge multiset
+ *    is untouched, so compaction is semantically invisible: epoch E+1
+ *    answers every query identically to E. ingestBatch never compacts
+ *    by itself; the caller asks compactionDue() and calls compact(),
+ *    because reorderGraph records on the host obs track the kernels
+ *    write (QueryEngine compacts under its kernel mutex).
  *
  * Sharding: internal vertex ids are split into num_shards contiguous
- * ranges. Because the base is reordered, the ranges are meaningful —
+ * ranges. Because the graph is reordered, the ranges are meaningful —
  * under degree/hub orderings shard 0 holds the hot vertices — and the
  * server batches queries per shard so consecutive kernel runs touch
  * neighboring footprints.
@@ -40,7 +45,6 @@
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/reorder.h"
-#include "serve/delta_csr.h"
 #include "serve/protocol.h"
 
 namespace crono::serve {
@@ -51,12 +55,65 @@ struct StoreConfig {
     int num_shards = 1;
     /** Ordering applied at build and re-applied on every compaction. */
     graph::Reordering reordering = graph::Reordering::kNone;
-    /** Attach the bin-major blocked pull layout to each base. */
+    /** Attach the bin-major blocked pull layout at build/compaction. */
     bool blocked_layout = true;
-    /** Fold the overlay once it reaches this many directed slots. */
-    std::uint64_t compact_delta_edges = 1u << 16;
-    /** ... or this many chained batches, whichever comes first. */
+    /** Compaction is due after this many batches since the last one. */
     std::uint32_t compact_batches = 16;
+};
+
+/**
+ * One immutable graph version: the epoch's CSR in the internal
+ * (post-reordering) id space, the permutation mapping it to the
+ * external ids clients speak, and what was ingested since the last
+ * compaction. All vertex ids in this interface are internal.
+ */
+class Snapshot {
+  public:
+    Snapshot(std::uint64_t epoch, graph::Graph graph,
+             std::shared_ptr<const graph::VertexPermutation> perm,
+             std::uint64_t delta_edges = 0, std::uint32_t delta_depth = 0);
+
+    std::uint64_t epoch() const { return epoch_; }
+
+    graph::VertexId numVertices() const { return graph_.numVertices(); }
+
+    /** Directed edge slots of this version. */
+    std::uint64_t numEdges() const { return graph_.numEdges(); }
+
+    /** Directed edge slots ingested since the last compaction. */
+    std::uint64_t deltaEdges() const { return deltaEdges_; }
+
+    /** Batches ingested since the last compaction. */
+    std::uint32_t deltaDepth() const { return deltaDepth_; }
+
+    /** External-id <-> internal-id mapping of this version. */
+    const graph::VertexPermutation& perm() const { return *perm_; }
+
+    graph::VertexId
+    toInternal(graph::VertexId external) const
+    {
+        return perm_->toNew(external);
+    }
+
+    graph::VertexId
+    toExternal(graph::VertexId internal) const
+    {
+        return perm_->toOld(internal);
+    }
+
+    /**
+     * This version's CSR: rows ascending by (dst, weight), parallel
+     * edges kept. Only build and compaction epochs carry a blocked
+     * layout.
+     */
+    const graph::Graph& materialized() const { return graph_; }
+
+  private:
+    std::uint64_t epoch_;
+    graph::Graph graph_;
+    std::shared_ptr<const graph::VertexPermutation> perm_;
+    std::uint64_t deltaEdges_;
+    std::uint32_t deltaDepth_;
 };
 
 /** Monotonic store counters (relaxed snapshots, test/report fodder). */
@@ -87,14 +144,20 @@ class GraphStore {
      * dropped; an out-of-range endpoint rejects the whole batch with
      * kBadVertex and publishes nothing; an empty (or all-self-loop)
      * batch is kRejected. On kOk, @p epoch_out (if non-null) receives
-     * the new epoch. May trigger an automatic compaction.
+     * the new epoch. Never compacts; see compactionDue().
      */
     Status ingestBatch(std::span<const graph::Edge> edges,
                        std::uint64_t* epoch_out = nullptr);
 
     /**
-     * Fold the overlay into a fresh reordered base now. Publishes a
-     * new epoch even when the overlay is empty (callers use that as
+     * True once the slots or batches ingested since the last
+     * compaction reach the compaction threshold.
+     */
+    bool compactionDue() const;
+
+    /**
+     * Re-run the reordering on the current epoch's CSR now. Publishes
+     * a new epoch even when nothing was ingested (callers use that as
      * an epoch fence). @return the new epoch.
      */
     std::uint64_t compact();
@@ -119,9 +182,6 @@ class GraphStore {
     /** Publish @p snap as the current epoch. */
     void publish(std::shared_ptr<const Snapshot> snap);
 
-    /** Compaction body; caller holds writeMutex_. */
-    std::uint64_t compactLocked();
-
     StoreConfig config_;
     graph::VertexId numVertices_ = 0;
     bool undirected_ = true;
@@ -131,9 +191,8 @@ class GraphStore {
 
     std::mutex writeMutex_;          ///< serializes ingest/compaction
 
-    /// Current base + permutation (written only under writeMutex_;
-    /// shared into every Snapshot built on them).
-    std::shared_ptr<const graph::Graph> base_;
+    /// Current permutation (written only under writeMutex_; shared
+    /// into every Snapshot until the next compaction).
     std::shared_ptr<const graph::VertexPermutation> perm_;
 
     std::atomic<std::uint64_t> batches_{0};

@@ -4,23 +4,28 @@
  * §17.2): a pinned epoch answers every query identically forever —
  * across later ingests, across compactions, across reorderings — and
  * concurrent clients hammering a live server against a live ingest
- * stream never observe a torn or cross-epoch answer. The concurrent
- * tests are the TSan leg's serve workload in analysis.yml: eight
- * client threads, one mutator, every interleaving the scheduler cares
- * to produce.
+ * stream never observe a torn or cross-epoch answer. Each epoch's
+ * merged CSR must equal a keepAll build of the same edge multiset.
+ * The concurrent tests are the TSan leg's serve workload in
+ * analysis.yml: eight client threads, one mutator, every interleaving
+ * the scheduler cares to produce.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <thread>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/reorder.h"
 #include "runtime/executor.h"
@@ -113,51 +118,171 @@ TEST(ServeSnapshot, PinnedEpochSurvivesIngestAndCompaction)
 
 TEST(ServeSnapshot, CompactionIsSemanticallyInvisible)
 {
-    // Ingest a batch, answer queries on the delta-overlay epoch, then
-    // compact (same edge multiset, fresh reordered base) and re-ask:
-    // every answer must be identical although the internal id space
-    // was rebuilt underneath.
-    StoreConfig cfg;
-    cfg.num_shards = 3;
-    cfg.reordering = graph::Reordering::kDegreeSort;
-    GraphStore store(testGraph(), cfg);
-    rt::NativeExecutor exec(2);
-    QueryEngine engine(store, exec);
-    const graph::VertexId n = store.snapshot()->numVertices();
+    // Ingest a batch, answer queries on the merged epoch, then compact
+    // (same edge multiset, re-run reordering) and re-ask: every answer
+    // must be identical although the internal id space was renumbered
+    // underneath — under every reordering.
+    for (const graph::Reordering r : graph::allReorderings()) {
+        SCOPED_TRACE(graph::reorderingName(r));
+        StoreConfig cfg;
+        cfg.num_shards = 3;
+        cfg.reordering = r;
+        GraphStore store(testGraph(), cfg);
+        rt::NativeExecutor exec(2);
+        QueryEngine engine(store, exec);
+        const graph::VertexId n = store.snapshot()->numVertices();
 
-    Rng rng(5);
-    ASSERT_EQ(store.ingestBatch(randomBatch(&rng, n, 40)), Status::kOk);
-    const std::shared_ptr<const Snapshot> overlay = store.snapshot();
-    ASSERT_GT(overlay->deltaEdges(), 0u);
-    store.compact();
-    const std::shared_ptr<const Snapshot> folded = store.snapshot();
-    ASSERT_EQ(folded->deltaEdges(), 0u);
-    ASSERT_EQ(folded->numEdges(), overlay->numEdges());
+        Rng rng(5);
+        ASSERT_EQ(store.ingestBatch(randomBatch(&rng, n, 40)),
+                  Status::kOk);
+        const std::shared_ptr<const Snapshot> merged = store.snapshot();
+        ASSERT_GT(merged->deltaEdges(), 0u);
+        store.compact();
+        const std::shared_ptr<const Snapshot> folded = store.snapshot();
+        ASSERT_EQ(folded->deltaEdges(), 0u);
+        ASSERT_EQ(folded->numEdges(), merged->numEdges());
 
-    Rng pick(17);
-    for (int i = 0; i < 12; ++i) {
-        Request req;
-        req.op = (i % 3 == 0)   ? Op::kSsspDist
-                 : (i % 3 == 1) ? Op::kBfsDist
-                                : Op::kComponent;
-        req.source = static_cast<graph::VertexId>(pick.nextBelow(n));
-        req.target = static_cast<graph::VertexId>(pick.nextBelow(n));
-        const Response a = engine.executeOn(req, overlay);
-        const Response b = engine.executeOn(req, folded);
-        ASSERT_EQ(a.status, Status::kOk);
-        ASSERT_EQ(b.status, Status::kOk);
-        EXPECT_EQ(a.values, b.values) << "query " << i;
+        Rng pick(17);
+        for (int i = 0; i < 12; ++i) {
+            Request req;
+            req.op = (i % 3 == 0)   ? Op::kSsspDist
+                     : (i % 3 == 1) ? Op::kBfsDist
+                                    : Op::kComponent;
+            req.source = static_cast<graph::VertexId>(pick.nextBelow(n));
+            req.target = static_cast<graph::VertexId>(pick.nextBelow(n));
+            const Response a = engine.executeOn(req, merged);
+            const Response b = engine.executeOn(req, folded);
+            ASSERT_EQ(a.status, Status::kOk);
+            ASSERT_EQ(b.status, Status::kOk);
+            EXPECT_EQ(a.values, b.values) << "query " << i;
+        }
+
+        // Top-k answers must also match: canonical external-id
+        // ordering makes them independent of the internal renumbering.
+        Request topk;
+        topk.op = Op::kTopDegree;
+        topk.k = 10;
+        const Response ta = engine.executeOn(topk, merged);
+        const Response tb = engine.executeOn(topk, folded);
+        EXPECT_EQ(ta.values, tb.values);
+        EXPECT_EQ(ta.vertices, tb.vertices);
     }
+}
 
-    // Top-k answers must also match: canonical external-id ordering
-    // makes them independent of the internal renumbering.
-    Request topk;
-    topk.op = Op::kTopDegree;
-    topk.k = 10;
-    const Response ta = engine.executeOn(topk, overlay);
-    const Response tb = engine.executeOn(topk, folded);
-    EXPECT_EQ(ta.values, tb.values);
-    EXPECT_EQ(ta.vertices, tb.vertices);
+/**
+ * Every row of @p snap's CSR must be ascending by (dst, weight) and,
+ * mapped back to external ids, equal @p oracle's row as a multiset.
+ */
+void
+expectSameGraph(const Snapshot& snap, const graph::Graph& oracle)
+{
+    using Slot = std::pair<graph::VertexId, graph::Weight>;
+    const graph::Graph& g = snap.materialized();
+    ASSERT_EQ(g.numVertices(), oracle.numVertices());
+    ASSERT_EQ(g.numEdges(), oracle.numEdges());
+    ASSERT_EQ(snap.numEdges(), oracle.numEdges());
+    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+        const std::span<const graph::VertexId> nbr = g.neighbors(v);
+        const std::span<const graph::Weight> w = g.weights(v);
+        std::vector<Slot> got;
+        for (std::size_t i = 0; i < nbr.size(); ++i) {
+            if (i > 0) {
+                ASSERT_LE(Slot(nbr[i - 1], w[i - 1]), Slot(nbr[i], w[i]))
+                    << "row " << v << " not ascending";
+            }
+            got.emplace_back(snap.toExternal(nbr[i]), w[i]);
+        }
+        std::sort(got.begin(), got.end());
+        const graph::VertexId ext = snap.toExternal(v);
+        const std::span<const graph::VertexId> onbr = oracle.neighbors(ext);
+        const std::span<const graph::Weight> ow = oracle.weights(ext);
+        std::vector<Slot> want;
+        for (std::size_t i = 0; i < onbr.size(); ++i) {
+            want.emplace_back(onbr[i], ow[i]);
+        }
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(got, want) << "external row " << ext;
+    }
+}
+
+/**
+ * Ingest batches with a self loop, parallel edges and copies of base
+ * edges into a store over @p base, checking each epoch's CSR against
+ * a keepAll GraphBuilder build of base plus batches, then once more
+ * after a compaction.
+ */
+void
+checkMergeAgainstBuilder(const graph::Graph& base)
+{
+    const graph::VertexId n = base.numVertices();
+    const bool undirected = base.undirected();
+    for (const graph::Reordering r : graph::allReorderings()) {
+        SCOPED_TRACE(graph::reorderingName(r));
+        StoreConfig cfg;
+        cfg.reordering = r;
+        GraphStore store(graph::Graph(base), cfg);
+
+        graph::GraphBuilder oracle(n, undirected);
+        for (graph::VertexId v = 0; v < n; ++v) {
+            const std::span<const graph::VertexId> nbr = base.neighbors(v);
+            const std::span<const graph::Weight> w = base.weights(v);
+            for (std::size_t i = 0; i < nbr.size(); ++i) {
+                if (!undirected || v < nbr[i]) { // builder re-mirrors
+                    oracle.addEdge(v, nbr[i], w[i]);
+                }
+            }
+        }
+
+        Rng rng(41);
+        for (int b = 0; b < 4; ++b) {
+            std::vector<graph::Edge> batch = randomBatch(&rng, n, 6);
+            batch.push_back({2, 2, 9});                  // self loop
+            batch.push_back({0, n - 1, 4});              // parallel...
+            batch.push_back({0, n - 1, 4});              // ...twice
+            batch.push_back({0, n - 1, 1});              // other weight
+            const graph::VertexId v = static_cast<graph::VertexId>(b);
+            ASSERT_GT(base.degree(v), 0u);               // base copy
+            batch.push_back({v, base.neighbors(v)[0], base.weights(v)[0]});
+            ASSERT_EQ(store.ingestBatch(batch), Status::kOk);
+            for (const graph::Edge& e : batch) {
+                oracle.addEdge(e.src, e.dst, e.weight);
+            }
+            const graph::Graph want = graph::GraphBuilder(oracle).build(
+                graph::GraphBuilder::DedupPolicy::keepAll);
+            expectSameGraph(*store.snapshot(), want);
+        }
+        store.compact();
+        const std::shared_ptr<const Snapshot> folded = store.snapshot();
+        EXPECT_EQ(folded->deltaEdges(), 0u);
+        EXPECT_EQ(folded->deltaDepth(), 0u);
+        expectSameGraph(*folded,
+                        std::move(oracle).build(
+                            graph::GraphBuilder::DedupPolicy::keepAll));
+    }
+}
+
+TEST(ServeSnapshot, MergeMatchesKeepAllBuildUndirected)
+{
+    checkMergeAgainstBuilder(testGraph());
+}
+
+TEST(ServeSnapshot, MergeMatchesKeepAllBuildDirected)
+{
+    graph::GraphBuilder b(8, /*undirected=*/false);
+    b.addEdge(0, 1, 3);
+    b.addEdge(0, 1, 2); // parallel edge in the base
+    b.addEdge(0, 2, 1);
+    b.addEdge(1, 2, 2);
+    b.addEdge(2, 0, 5);
+    b.addEdge(3, 4, 1);
+    b.addEdge(4, 3, 1);
+    b.addEdge(4, 5, 2);
+    b.addEdge(5, 6, 9);
+    b.addEdge(6, 7, 1); // vertex 7 has no out-edges
+    const graph::Graph base =
+        std::move(b).build(graph::GraphBuilder::DedupPolicy::keepAll);
+    ASSERT_FALSE(base.undirected());
+    checkMergeAgainstBuilder(base);
 }
 
 TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
