@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared infrastructure for the experiment harnesses (one binary per
- * paper table/figure). Each harness prints the same rows/series the
+ * paper table/figure; bench_paper prints the figures that share one
+ * simulator sweep). Each harness prints the same rows/series the
  * paper reports; EXPERIMENTS.md records paper-vs-measured.
  *
  * Command line: every harness accepts
@@ -16,9 +17,12 @@
 #ifndef CRONO_BENCH_BENCH_COMMON_H_
 #define CRONO_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,17 +158,6 @@ simWorkloadConfig(const Options& opt,
     return cfg;
 }
 
-/** Simulated thread counts swept by Figure 1 (1..256). */
-inline std::vector<int>
-simThreadCounts(int max_threads = 256)
-{
-    std::vector<int> out;
-    for (int t = 1; t <= max_threads; t *= 2) {
-        out.push_back(t);
-    }
-    return out;
-}
-
 /** One point of a thread sweep. */
 struct SweepPoint {
     int threads = 0;
@@ -172,7 +165,7 @@ struct SweepPoint {
     double variability = 0.0;
 };
 
-/** Run @p id on a fresh machine per thread count. */
+/** Run @p id per thread count on one machine (reset by every run). */
 inline std::vector<SweepPoint>
 sweepSim(const sim::Config& cfg, core::BenchmarkId id,
          const core::Workload& w, const std::vector<int>& threads)
@@ -186,42 +179,23 @@ sweepSim(const sim::Config& cfg, core::BenchmarkId id,
     return out;
 }
 
-/** Index of the sweep point with the fewest completion cycles. */
-inline std::size_t
-bestPoint(const std::vector<SweepPoint>& sweep)
+/**
+ * Fewest-cycle point of @p sweep (the first on ties), among the points
+ * at @p threads unless that is empty.
+ */
+inline const SweepPoint&
+bestPoint(const std::vector<SweepPoint>& sweep,
+          std::span<const int> threads = {})
 {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < sweep.size(); ++i) {
-        if (sweep[i].stats.completion_cycles <
-            sweep[best].stats.completion_cycles) {
-            best = i;
-        }
-    }
-    return best;
-}
-
-inline void
-printBreakdownHeader()
-{
-    std::printf("%8s %12s %8s %8s %8s %8s %8s %8s %8s %6s\n", "threads",
-                "cycles", "speedup", "Compute", "L1-L2H", "L2Wait",
-                "L2Shar", "OffChip", "Sync", "Vari");
-}
-
-inline void
-printBreakdownRow(const SweepPoint& p, std::uint64_t base_cycles)
-{
-    const sim::Breakdown n = p.stats.breakdown.normalized();
-    std::printf(
-        "%8d %12llu %8.2f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %6.2f\n",
-        p.threads,
-        static_cast<unsigned long long>(p.stats.completion_cycles),
-        static_cast<double>(base_cycles) /
-            static_cast<double>(p.stats.completion_cycles),
-        n[sim::Component::compute], n[sim::Component::l1ToL2Home],
-        n[sim::Component::l2HomeWaiting], n[sim::Component::l2HomeSharers],
-        n[sim::Component::l2HomeOffChip],
-        n[sim::Component::synchronization], p.variability);
+    const auto cycles = [&](const SweepPoint& p) {
+        return threads.empty() || std::find(threads.begin(), threads.end(),
+                                            p.threads) != threads.end()
+                   ? p.stats.completion_cycles
+                   : UINT64_MAX;
+    };
+    return *std::min_element(
+        sweep.begin(), sweep.end(),
+        [&](const auto& a, const auto& b) { return cycles(a) < cycles(b); });
 }
 
 } // namespace crono::bench

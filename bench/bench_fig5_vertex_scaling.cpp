@@ -18,7 +18,7 @@ bestSpeedup(const sim::Config& cfg, core::BenchmarkId id,
             const core::Workload& w, const std::vector<int>& threads)
 {
     const auto points = bench::sweepSim(cfg, id, w, threads);
-    const auto& best = points[bench::bestPoint(points)];
+    const auto& best = bench::bestPoint(points);
     return static_cast<double>(points[0].stats.completion_cycles) /
            static_cast<double>(best.stats.completion_cycles);
 }

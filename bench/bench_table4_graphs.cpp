@@ -64,7 +64,7 @@ main(int argc, char** argv)
             const auto points =
                 bench::sweepSim(cfg, info.id,
                                 sets[c].forBenchmark(info.id), threads);
-            const auto& best = points[bench::bestPoint(points)];
+            const auto& best = bench::bestPoint(points);
             std::printf(" %7.2fx",
                         static_cast<double>(
                             points[0].stats.completion_cycles) /

@@ -41,15 +41,12 @@ if [ -n "$json_dir" ]; then
 fi
 
 failed=()
-for b in build/bench/bench_table1_suite build/bench/bench_fig1_breakdown \
-         build/bench/bench_fig2_active_vertices build/bench/bench_fig3_l1_miss \
-         build/bench/bench_fig4_hierarchy_miss build/bench/bench_fig5_vertex_scaling \
-         build/bench/bench_fig6_energy build/bench/bench_fig7_ooo_breakdown \
-         build/bench/bench_fig8_ooo_speedup build/bench/bench_fig9_real_machine \
-         build/bench/bench_table4_graphs build/bench/bench_ablation_ackwise \
-         build/bench/bench_ablation_locality build/bench/bench_ablation_noc \
-         build/bench/bench_reorder build/bench/bench_gap \
-         build/bench/bench_bnb build/bench/bench_profile; do
+for b in build/bench/bench_table1_suite build/bench/bench_paper \
+         build/bench/bench_fig2_active_vertices build/bench/bench_fig5_vertex_scaling \
+         build/bench/bench_fig9_real_machine build/bench/bench_table4_graphs \
+         build/bench/bench_ablation_ackwise build/bench/bench_ablation_locality \
+         build/bench/bench_ablation_noc build/bench/bench_reorder \
+         build/bench/bench_gap build/bench/bench_bnb build/bench/bench_profile; do
   echo "================================================================"
   echo "### $b ${json_args[*]:-} $*"
   "$b" ${json_args[@]+"${json_args[@]}"} "$@" \

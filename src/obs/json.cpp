@@ -212,7 +212,7 @@ namespace {
 struct Parser {
     std::string_view text;
     std::size_t pos = 0;
-    std::string err;
+    std::string err{};
 
     bool
     fail(const char* what)

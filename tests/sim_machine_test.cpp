@@ -2,8 +2,9 @@
  * @file
  * Machine-level tests: fibers, deterministic scheduling, simulated
  * synchronization (mutex handoff, barriers), the SimCtx contract,
- * thread multiplexing on the real-machine configuration, and run
- * statistics invariants.
+ * thread multiplexing on the real-machine configuration, run
+ * statistics invariants, and the independence of successive runs that
+ * lets bench_paper read every figure from one sweep.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "core/suite.h"
+#include "core/workloads.h"
 #include "sim/fiber.h"
 #include "sim/machine.h"
 
@@ -300,6 +303,39 @@ TEST(Machine, OpsCountPerThread)
     });
     for (std::uint64_t ops : st.thread_ops) {
         EXPECT_GE(ops, 10u);
+    }
+}
+
+TEST(Machine, RunIgnoresEarlierRuns)
+{
+    // A t=4 run on a machine that already ran t=1 and t=2 must equal a
+    // t=4 run on a fresh machine, in every statistic the figures read.
+    core::WorkloadConfig wc;
+    wc.graph_vertices = 256;
+    wc.edges_per_vertex = 4;
+    wc.matrix_vertices = 16;
+    const core::WorkloadSet set(wc);
+    for (const auto id : {core::BenchmarkId::bfs, core::BenchmarkId::apsp}) {
+        SCOPED_TRACE(core::benchmarkName(id));
+        const core::Workload w = set.forBenchmark(id);
+        Machine swept(tinyConfig());
+        for (const int t : {1, 2, 4}) {
+            core::runBenchmark(id, swept, t, w);
+        }
+        Machine fresh(tinyConfig());
+        core::runBenchmark(id, fresh, 4, w);
+        const SimRunStats& a = swept.lastStats();
+        const SimRunStats& b = fresh.lastStats();
+        EXPECT_EQ(a.completion_cycles, b.completion_cycles);
+        EXPECT_EQ(a.l1d.accesses, b.l1d.accesses);
+        EXPECT_EQ(a.l1d.misses, b.l1d.misses);
+        EXPECT_EQ(a.cacheHierarchyMissRate(), b.cacheHierarchyMissRate());
+        EXPECT_EQ(a.breakdown.cycles, b.breakdown.cycles);
+        const auto buckets = [](const EnergyBreakdown& e) {
+            return std::vector<double>{e.l1i,    e.l1d,  e.l2,  e.directory,
+                                       e.router, e.link, e.dram};
+        };
+        EXPECT_EQ(buckets(a.energy), buckets(b.energy));
     }
 }
 
