@@ -62,7 +62,6 @@ struct Args {
     double rps = 200.0;     ///< open loop: total target rate
     unsigned scale = 0;     ///< 0 = default by quick
     unsigned edge_factor = 8;
-    int shards = 4;
     int workers = 2;
     int threads = 2;
     unsigned pr_iters = 10;
@@ -101,8 +100,6 @@ parseArgs(int argc, char** argv, Args* a)
         } else if (std::strncmp(arg, "--edge-factor=", 14) == 0) {
             a->edge_factor =
                 static_cast<unsigned>(std::atoi(arg + 14));
-        } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-            a->shards = std::atoi(arg + 9);
         } else if (std::strncmp(arg, "--workers=", 10) == 0) {
             a->workers = std::atoi(arg + 10);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -356,7 +353,7 @@ serverInfoFrom(AnyClient* client)
         const obs::json::Value* v = server->find(key);
         return v != nullptr ? v->asU64() : 0;
     };
-    info.num_shards = static_cast<int>(u64("num_shards"));
+    info.num_workers = static_cast<int>(u64("num_workers"));
     if (const obs::json::Value* r = server->find("reordering")) {
         info.reordering = r->str;
     }
@@ -399,7 +396,6 @@ main(int argc, char** argv)
         num_vertices = g.numVertices();
         edge_slots = g.numEdges();
         serve::StoreConfig store_cfg;
-        store_cfg.num_shards = args.shards;
         store_cfg.reordering = args.reorder;
         store = std::make_unique<serve::GraphStore>(std::move(g),
                                                     store_cfg);

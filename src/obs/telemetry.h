@@ -104,7 +104,7 @@ enum class Counter : std::uint8_t {
     kLoadMs,           ///< milliseconds spent parsing a graph file
     kBidomainSplits,   ///< MCS bidomain classes split during expansion
     kServeRequests,    ///< serve: requests answered (any status)
-    kServeBatches,     ///< serve: per-shard batches drained by workers
+    kServeBatches,     ///< serve: worker snapshot pins (one per request)
     kServeIngestEdges, ///< serve: logical edges accepted by ingest
     kServeCompactions, ///< serve: delta compactions folded
 };

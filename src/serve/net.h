@@ -12,9 +12,9 @@
  * across the wire.
  *
  * This is deliberately thread-per-connection: the server's capacity
- * story lives in the shard workers and batching, not in connection
- * counts, and the tests/bench drive tens of connections, not tens of
- * thousands.
+ * story lives in its query workers and the engine's result cache,
+ * not in connection counts, and the tests/bench drive tens of
+ * connections, not tens of thousands.
  */
 
 #ifndef CRONO_SERVE_NET_H_

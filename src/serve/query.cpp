@@ -26,6 +26,24 @@ QueryEngine::QueryEngine(GraphStore& store, rt::NativeExecutor& exec,
     CRONO_REQUIRE(config_.cache_capacity >= 1, "cache capacity >= 1");
 }
 
+void
+QueryEngine::FifoMutex::lock()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    const std::uint64_t ticket = next_++;
+    cv_.wait(lock, [&] { return serving_ == ticket; });
+}
+
+void
+QueryEngine::FifoMutex::unlock()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++serving_;
+    }
+    cv_.notify_all();
+}
+
 std::shared_ptr<const void>
 QueryEngine::cacheGet(std::uint64_t epoch, Kind kind,
                       graph::VertexId source)
@@ -53,135 +71,132 @@ QueryEngine::cachePut(std::uint64_t epoch, Kind kind,
     }
 }
 
+template <class T, class F>
+std::shared_ptr<const T>
+QueryEngine::cached(const Snapshot& snap, Kind kind,
+                    graph::VertexId source, F&& compute)
+{
+    if (auto hit = cacheGet(snap.epoch(), kind, source)) {
+        return std::static_pointer_cast<const T>(hit);
+    }
+    // The single-flight point: identical misses queue on the kernel
+    // mutex, and all but the first find the first one's result here.
+    std::lock_guard<FifoMutex> lock(kernelMutex_);
+    if (auto hit = cacheGet(snap.epoch(), kind, source)) {
+        return std::static_pointer_cast<const T>(hit);
+    }
+    auto out = std::make_shared<const T>(compute());
+    cachePut(snap.epoch(), kind, source, out);
+    return out;
+}
+
 std::shared_ptr<const AlignedVector<graph::Dist>>
 QueryEngine::ssspDists(const Snapshot& snap,
                        graph::VertexId internal_source)
 {
-    if (auto hit = cacheGet(snap.epoch(), Kind::kSssp, internal_source)) {
-        return std::static_pointer_cast<
-            const AlignedVector<graph::Dist>>(hit);
-    }
-    std::lock_guard<std::mutex> lock(kernelMutex_);
-    if (auto hit = cacheGet(snap.epoch(), Kind::kSssp, internal_source)) {
-        return std::static_pointer_cast<
-            const AlignedVector<graph::Dist>>(hit);
-    }
-    core::SsspResult r = core::sssp(exec_, config_.nthreads,
-                                    snap.materialized(), internal_source);
-    auto dists = std::make_shared<const AlignedVector<graph::Dist>>(
-        std::move(r.dist));
-    cachePut(snap.epoch(), Kind::kSssp, internal_source, dists);
-    return dists;
+    return cached<AlignedVector<graph::Dist>>(
+        snap, Kind::kSssp, internal_source, [&] {
+            return core::sssp(exec_, config_.nthreads,
+                              snap.materialized(), internal_source)
+                .dist;
+        });
 }
 
 std::shared_ptr<const AlignedVector<std::uint32_t>>
 QueryEngine::bfsLevels(const Snapshot& snap,
                        graph::VertexId internal_source)
 {
-    if (auto hit = cacheGet(snap.epoch(), Kind::kBfs, internal_source)) {
-        return std::static_pointer_cast<
-            const AlignedVector<std::uint32_t>>(hit);
-    }
-    std::lock_guard<std::mutex> lock(kernelMutex_);
-    if (auto hit = cacheGet(snap.epoch(), Kind::kBfs, internal_source)) {
-        return std::static_pointer_cast<
-            const AlignedVector<std::uint32_t>>(hit);
-    }
-    core::BfsResult r = core::bfs(exec_, config_.nthreads,
-                                  snap.materialized(), internal_source);
-    auto levels = std::make_shared<const AlignedVector<std::uint32_t>>(
-        std::move(r.level));
-    cachePut(snap.epoch(), Kind::kBfs, internal_source, levels);
-    return levels;
+    return cached<AlignedVector<std::uint32_t>>(
+        snap, Kind::kBfs, internal_source, [&] {
+            return core::bfs(exec_, config_.nthreads,
+                             snap.materialized(), internal_source)
+                .level;
+        });
 }
 
 std::shared_ptr<const QueryEngine::Components>
 QueryEngine::components(const Snapshot& snap)
 {
-    if (auto hit = cacheGet(snap.epoch(), Kind::kComponents, 0)) {
-        return std::static_pointer_cast<const Components>(hit);
-    }
-    std::lock_guard<std::mutex> lock(kernelMutex_);
-    if (auto hit = cacheGet(snap.epoch(), Kind::kComponents, 0)) {
-        return std::static_pointer_cast<const Components>(hit);
-    }
-    core::ConnectedComponentsResult r = core::connectedComponents(
-        exec_, config_.nthreads, snap.materialized());
-    auto comp = std::make_shared<Components>();
-    comp->label = std::move(r.label);
-    // Canonicalize to the minimum external id per component so the
-    // answer is independent of the reordering of this epoch.
-    const graph::VertexId n = snap.numVertices();
-    AlignedVector<graph::VertexId> min_ext(n, graph::kNoVertex);
-    for (graph::VertexId v = 0; v < n; ++v) {
-        const graph::VertexId rep = comp->label[v];
-        min_ext[rep] = std::min(min_ext[rep], snap.toExternal(v));
-    }
-    comp->canon.resize(n);
-    for (graph::VertexId v = 0; v < n; ++v) {
-        comp->canon[v] = min_ext[comp->label[v]];
-    }
-    std::shared_ptr<const Components> out = comp;
-    cachePut(snap.epoch(), Kind::kComponents, 0, out);
-    return out;
+    return cached<Components>(snap, Kind::kComponents, 0, [&] {
+        Components comp;
+        comp.label = core::connectedComponents(exec_, config_.nthreads,
+                                               snap.materialized())
+                         .label;
+        // Canonicalize to the minimum external id per component so
+        // the answer is independent of the reordering of this epoch.
+        const graph::VertexId n = snap.numVertices();
+        AlignedVector<graph::VertexId> min_ext(n, graph::kNoVertex);
+        for (graph::VertexId v = 0; v < n; ++v) {
+            const graph::VertexId rep = comp.label[v];
+            min_ext[rep] = std::min(min_ext[rep], snap.toExternal(v));
+        }
+        comp.canon.resize(n);
+        for (graph::VertexId v = 0; v < n; ++v) {
+            comp.canon[v] = min_ext[comp.label[v]];
+        }
+        return comp;
+    });
 }
 
 std::shared_ptr<const AlignedVector<double>>
 QueryEngine::ranks(const Snapshot& snap)
 {
-    if (auto hit = cacheGet(snap.epoch(), Kind::kRank, 0)) {
-        return std::static_pointer_cast<
-            const AlignedVector<double>>(hit);
-    }
-    std::lock_guard<std::mutex> lock(kernelMutex_);
-    if (auto hit = cacheGet(snap.epoch(), Kind::kRank, 0)) {
-        return std::static_pointer_cast<
-            const AlignedVector<double>>(hit);
-    }
     // Gather mode: deterministic summation order, so a pinned epoch
     // answers rank queries bit-for-bit reproducibly.
-    core::PageRankResult r = core::pageRank(
-        exec_, config_.nthreads, snap.materialized(),
-        config_.pagerank_iterations, config_.damping, nullptr,
-        core::PageRankMode::kGather);
-    auto ranks = std::make_shared<const AlignedVector<double>>(
-        std::move(r.rank));
-    cachePut(snap.epoch(), Kind::kRank, 0, ranks);
-    return ranks;
+    return cached<AlignedVector<double>>(snap, Kind::kRank, 0, [&] {
+        return core::pageRank(exec_, config_.nthreads,
+                              snap.materialized(),
+                              config_.pagerank_iterations,
+                              config_.damping, nullptr,
+                              core::PageRankMode::kGather)
+            .rank;
+    });
 }
 
 namespace {
 
-/** Best-first comparator: higher score, then smaller external id. */
-bool
-betterThan(const std::pair<std::uint64_t, graph::VertexId>& a,
-           const std::pair<std::uint64_t, graph::VertexId>& b)
+using ScoredVertex = std::pair<std::uint64_t, graph::VertexId>;
+
+/**
+ * The kMaxTopK best (score(v), external id) pairs of @p snap, higher
+ * score first and smaller external id on ties.
+ */
+template <class Score>
+std::vector<ScoredVertex>
+bestFirst(const Snapshot& snap, Score&& score)
 {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
+    const graph::VertexId n = snap.numVertices();
+    std::vector<ScoredVertex> order;
+    order.reserve(n);
+    for (graph::VertexId v = 0; v < n; ++v) {
+        order.emplace_back(score(v), snap.toExternal(v));
+    }
+    const std::size_t keep = std::min<std::size_t>(n, kMaxTopK);
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<std::ptrdiff_t>(keep),
+                      order.end(),
+                      [](const ScoredVertex& a, const ScoredVertex& b) {
+                          return a.first != b.first ? a.first > b.first
+                                                    : a.second < b.second;
+                      });
+    order.resize(keep);
+    return order;
 }
 
 } // namespace
 
+// The top-k orders stay outside the kernel mutex: they run no kernel
+// of their own (rankOrder's PageRank goes through ranks()).
 std::shared_ptr<const QueryEngine::TopOrder>
 QueryEngine::degreeOrder(const Snapshot& snap)
 {
     if (auto hit = cacheGet(snap.epoch(), Kind::kDegreeOrder, 0)) {
         return std::static_pointer_cast<const TopOrder>(hit);
     }
-    const graph::VertexId n = snap.numVertices();
-    auto order = std::make_shared<TopOrder>();
-    order->reserve(n);
-    for (graph::VertexId v = 0; v < n; ++v) {
-        order->emplace_back(snap.materialized().degree(v),
-                            snap.toExternal(v));
-    }
-    const std::size_t keep =
-        std::min<std::size_t>(order->size(), kMaxTopK);
-    std::partial_sort(order->begin(),
-                      order->begin() + static_cast<std::ptrdiff_t>(keep),
-                      order->end(), betterThan);
-    order->resize(keep);
-    std::shared_ptr<const TopOrder> out = order;
+    auto out = std::make_shared<const TopOrder>(
+        bestFirst(snap, [&](graph::VertexId v) {
+            return snap.materialized().degree(v);
+        }));
     cachePut(snap.epoch(), Kind::kDegreeOrder, 0, out);
     return out;
 }
@@ -194,23 +209,13 @@ QueryEngine::rankOrder(const Snapshot& snap)
     }
     const std::shared_ptr<const AlignedVector<double>> rank =
         ranks(snap);
-    const graph::VertexId n = snap.numVertices();
-    auto order = std::make_shared<TopOrder>();
-    order->reserve(n);
-    for (graph::VertexId v = 0; v < n; ++v) {
-        // IEEE-754 bit pattern: ranks are non-negative, and for
-        // non-negative doubles the bit order is the value order, so
-        // the u64 comparator sorts by score exactly.
-        order->emplace_back(std::bit_cast<std::uint64_t>((*rank)[v]),
-                            snap.toExternal(v));
-    }
-    const std::size_t keep =
-        std::min<std::size_t>(order->size(), kMaxTopK);
-    std::partial_sort(order->begin(),
-                      order->begin() + static_cast<std::ptrdiff_t>(keep),
-                      order->end(), betterThan);
-    order->resize(keep);
-    std::shared_ptr<const TopOrder> out = order;
+    // IEEE-754 bit pattern: ranks are non-negative, and for
+    // non-negative doubles the bit order is the value order, so the
+    // u64 comparator sorts by score exactly.
+    auto out = std::make_shared<const TopOrder>(
+        bestFirst(snap, [&](graph::VertexId v) {
+            return std::bit_cast<std::uint64_t>((*rank)[v]);
+        }));
     cachePut(snap.epoch(), Kind::kRankOrder, 0, out);
     return out;
 }
@@ -225,7 +230,7 @@ QueryEngine::execute(const Request& req)
         std::uint64_t epoch = 0;
         const Status s = store_.ingestBatch(req.edges, &epoch);
         if (s == Status::kOk && store_.compactionDue()) {
-            std::lock_guard<std::mutex> lock(kernelMutex_);
+            std::lock_guard<FifoMutex> lock(kernelMutex_);
             store_.compact();
         }
         Response r = errorResponse(req.id, s, epoch);
@@ -237,7 +242,7 @@ QueryEngine::execute(const Request& req)
         return r;
       }
       case Op::kCompact: {
-        std::lock_guard<std::mutex> lock(kernelMutex_);
+        std::lock_guard<FifoMutex> lock(kernelMutex_);
         Response r;
         r.id = req.id;
         r.epoch = store_.compact();

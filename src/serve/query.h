@@ -12,14 +12,18 @@
  * components and the top-k orders are per-epoch and shared by every
  * session.
  *
- * Kernel runs are serialized on an internal mutex — rt::NativeExecutor
- * regions may not overlap — but cache hits bypass it entirely: the
- * common steady state (many clients, few distinct sources, ingest
- * every few seconds) answers most requests from immutable cached
- * arrays with no lock but the LRU's own. Ingests run beside the
- * kernels; only a compaction (due after an ingest, or a kCompact)
- * takes the kernel mutex, because reorderGraph records on the host
- * obs track the kernels write.
+ * Kernel runs are serialized, in arrival order, on an internal mutex —
+ * rt::NativeExecutor regions may not overlap — but cache hits bypass
+ * it entirely: the common steady state (many clients, few distinct
+ * sources, ingest every few seconds) answers most requests from
+ * immutable cached arrays with no lock but the LRU's own. Every kernel
+ * result goes through one helper, cached(), which looks the key up
+ * again once it holds the kernel mutex: that is the single-flight
+ * point, so identical misses at one epoch run one kernel however many
+ * workers raise them together. Ingests run beside the kernels; only a
+ * compaction (due after an ingest, or a kCompact) takes the kernel
+ * mutex, because reorderGraph records on the host obs track the
+ * kernels write.
  *
  * Determinism: BFS levels, SSSP distances and component labels are
  * deterministic outright; PageRank runs in gather mode (fixed CSR
@@ -28,12 +32,13 @@
  * serve differential oracle lean on. Component labels and top-k
  * orders are canonicalized to external ids (min-external-id
  * representative; score-then-id ordering) so answers are stable
- * across reorderings and shard counts too.
+ * across reorderings and compactions too.
  */
 
 #ifndef CRONO_SERVE_QUERY_H_
 #define CRONO_SERVE_QUERY_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -80,9 +85,8 @@ class QueryEngine {
 
     /**
      * Execute @p req against a caller-pinned snapshot instead of the
-     * store's current one (the server's per-shard batching uses this
-     * to serve one drained batch against one epoch). Mutating ops
-     * fall through to execute().
+     * store's current one (tests use this to re-ask an old epoch).
+     * Mutating ops fall through to execute().
      */
     Response executeOn(const Request& req,
                        const std::shared_ptr<const Snapshot>& snap);
@@ -127,6 +131,16 @@ class QueryEngine {
     void cachePut(std::uint64_t epoch, Kind kind, graph::VertexId source,
                   std::shared_ptr<const void> data);
 
+    /**
+     * The (epoch, @p kind, @p source) result, running @p compute (a
+     * kernel returning T) under the kernel mutex on a miss. The
+     * single-flight point: the key is looked up again under the
+     * mutex, so concurrent identical misses run @p compute once.
+     */
+    template <class T, class F>
+    std::shared_ptr<const T> cached(const Snapshot& snap, Kind kind,
+                                    graph::VertexId source, F&& compute);
+
     std::shared_ptr<const AlignedVector<graph::Dist>>
     ssspDists(const Snapshot& snap, graph::VertexId internal_source);
 
@@ -147,9 +161,28 @@ class QueryEngine {
     QueryConfig config_;
     std::function<std::string()> statsFn_;
 
+    /**
+     * A mutex granted in arrival order. With a std::mutex the worker
+     * that just released it can take it straight back while the
+     * other worker's older request waits out another whole kernel,
+     * which stretches the latency tail (perfbench serve-churn
+     * sssp_tail_ms).
+     */
+    class FifoMutex {
+      public:
+        void lock();
+        void unlock();
+
+      private:
+        std::mutex mutex_;
+        std::condition_variable cv_;
+        std::uint64_t next_ = 0;    ///< next ticket handed out
+        std::uint64_t serving_ = 0; ///< ticket allowed to hold it
+    };
+
     /// Executor regions may not overlap; compaction shares the host
     /// obs track, so it holds this too.
-    std::mutex kernelMutex_;
+    FifoMutex kernelMutex_;
 
     struct CacheEntry {
         std::uint64_t epoch;

@@ -32,7 +32,7 @@ serveReportJson(const ServeInfo& info,
     w.key("schema").value("crono.serve.v1");
 
     w.key("server").beginObject();
-    w.key("num_shards").value(info.num_shards);
+    w.key("num_workers").value(info.num_workers);
     w.key("reordering").value(info.reordering);
     w.key("epoch").value(info.epoch);
     w.key("vertices").value(info.vertices);

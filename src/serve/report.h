@@ -9,6 +9,8 @@
  * Validators treat "workload" as optional and everything else as
  * required, and the schema is add-only like crono.bench.v1: consumers
  * must ignore unknown fields, fields are never renamed or repurposed.
+ * The one removal so far: the server block's num_shards went with the
+ * shard routing it described; num_workers took its place.
  *
  * Latencies are recorded into obs::LogHistogram in nanoseconds and
  * reported in seconds (p50/p90/p99 are log-bucket midpoints — see
@@ -26,9 +28,9 @@
 
 namespace crono::serve {
 
-/** The "server" block: store shape and ingest history. */
+/** The "server" block: server shape and ingest history. */
 struct ServeInfo {
-    int num_shards = 1;
+    int num_workers = 1;            ///< query worker threads
     std::string reordering = "none";
     std::uint64_t epoch = 0;
     std::uint64_t vertices = 0;

@@ -1,12 +1,11 @@
 /**
  * @file
- * Server implementation: routing, shard workers, the ingest thread,
- * and the in-process client.
+ * Server implementation: routing, the query workers, the ingest
+ * thread, and the in-process client.
  */
 
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -36,15 +35,9 @@ steadyNs()
 Server::Server(GraphStore& store, rt::NativeExecutor& exec,
                ServerConfig config)
     : store_(store), engine_(store, exec, config.query),
-      config_(config),
-      shardQueues_(static_cast<std::size_t>(store.numShards())),
-      classes_(static_cast<std::size_t>(kNumOps))
+      config_(config), classes_(static_cast<std::size_t>(kNumOps))
 {
     CRONO_REQUIRE(config_.num_workers >= 1, "server needs a worker");
-    CRONO_REQUIRE(config_.batch_max >= 1, "batch_max must be >= 1");
-    config_.num_workers =
-        std::min(config_.num_workers, store.numShards());
-    nextShard_.assign(static_cast<std::size_t>(config_.num_workers), 0);
     engine_.setStatsProvider([this] { return statsJson(); });
 }
 
@@ -73,15 +66,20 @@ Server::stop()
     if (!running_.exchange(false)) {
         return;
     }
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        stopping_ = true;
-        queueCv_.notify_all();
-    }
-    {
-        std::lock_guard<std::mutex> lock(ingestMutex_);
-        stopping_ = true;
-        ingestCv_.notify_all();
+    // Raise stopping_ and swap each queue out in one critical section:
+    // a racing route() either queued before (and is rejected here) or
+    // sees stopping_ and rejects itself.
+    for (Queue* q : {&queries_, &ingest_}) {
+        std::deque<Pending> left;
+        {
+            std::lock_guard<std::mutex> lock(q->mutex);
+            stopping_ = true;
+            left.swap(q->items);
+            q->cv.notify_all();
+        }
+        for (const Pending& p : left) {
+            reject(p);
+        }
     }
     for (std::thread& t : workers_) {
         t.join();
@@ -90,11 +88,6 @@ Server::stop()
     if (ingestThread_.joinable()) {
         ingestThread_.join();
     }
-    // Workers are gone: anything still queued is answered kRejected.
-    for (std::deque<Pending>& q : shardQueues_) {
-        drainReject(&q);
-    }
-    drainReject(&ingestQueue_);
     {
         std::lock_guard<std::mutex> lock(sessionMutex_);
         for (const std::shared_ptr<Session>& s : sessions_) {
@@ -104,14 +97,10 @@ Server::stop()
 }
 
 void
-Server::drainReject(std::deque<Pending>* queue)
+Server::reject(const Pending& p)
 {
-    while (!queue->empty()) {
-        Pending p = std::move(queue->front());
-        queue->pop_front();
-        finish(p, errorResponse(p.req.id, Status::kRejected,
-                                store_.snapshot()->epoch()));
-    }
+    finish(p, errorResponse(p.req.id, Status::kRejected,
+                            store_.snapshot()->epoch()));
 }
 
 std::shared_ptr<Session>
@@ -138,36 +127,31 @@ void
 Server::route(const std::shared_ptr<Session>& session, Request&& req)
 {
     Pending p{session, std::move(req), steadyNs()};
-    if (!running_ || stopping_) {
-        finish(p, errorResponse(p.req.id, Status::kRejected,
-                                store_.snapshot()->epoch()));
-        return;
+    Queue& q = p.req.op == Op::kIngest || p.req.op == Op::kCompact
+                   ? ingest_
+                   : queries_;
+    {
+        std::lock_guard<std::mutex> lock(q.mutex);
+        if (running_ && !stopping_) {
+            q.items.push_back(std::move(p));
+            q.cv.notify_one();
+            return;
+        }
     }
-    if (p.req.op == Op::kIngest || p.req.op == Op::kCompact) {
-        std::lock_guard<std::mutex> lock(ingestMutex_);
-        ingestQueue_.push_back(std::move(p));
-        ingestCv_.notify_one();
-        return;
+    reject(p);
+}
+
+bool
+Server::pop(Queue* q, Pending* out)
+{
+    std::unique_lock<std::mutex> lock(q->mutex);
+    q->cv.wait(lock, [&] { return stopping_ || !q->items.empty(); });
+    if (stopping_) {
+        return false;
     }
-    // Shard by the source vertex's *internal* id so a batch walks one
-    // contiguous range of the reordered layout. Global queries (and
-    // invalid sources — the worker will answer kBadVertex) spread by
-    // request id.
-    const std::shared_ptr<const Snapshot> snap = store_.snapshot();
-    std::size_t shard;
-    const bool pointQuery =
-        p.req.op == Op::kBfsDist || p.req.op == Op::kSsspDist ||
-        p.req.op == Op::kSsspBatch || p.req.op == Op::kComponent ||
-        p.req.op == Op::kRankScore;
-    if (pointQuery && p.req.source < snap->numVertices()) {
-        shard = static_cast<std::size_t>(
-            store_.shardOfInternal(snap->toInternal(p.req.source)));
-    } else {
-        shard = p.req.id % shardQueues_.size();
-    }
-    std::lock_guard<std::mutex> lock(queueMutex_);
-    shardQueues_[shard].push_back(std::move(p));
-    queueCv_.notify_all();
+    *out = std::move(q->items.front());
+    q->items.pop_front();
+    return true;
 }
 
 void
@@ -175,65 +159,12 @@ Server::workerLoop(int w)
 {
     obs::Track* const track = obs::trackFor(
         obs::sink(), obs::TrackKind::kHost, kWorkerTrackBase + w);
-    const std::size_t num_shards = shardQueues_.size();
-    const auto workers = static_cast<std::size_t>(config_.num_workers);
-    const auto me = static_cast<std::size_t>(w);
-
-    std::vector<Pending> batch;
-    while (true) {
-        batch.clear();
-        {
-            std::unique_lock<std::mutex> lock(queueMutex_);
-            queueCv_.wait(lock, [&] {
-                if (stopping_) {
-                    return true;
-                }
-                for (std::size_t s = me; s < num_shards; s += workers) {
-                    if (!shardQueues_[s].empty()) {
-                        return true;
-                    }
-                }
-                return false;
-            });
-            // Round-robin over owned shards so one hot shard cannot
-            // starve the others; drain at most batch_max from the
-            // chosen shard (one snapshot pin per batch).
-            std::size_t& cursor = nextShard_[me];
-            std::size_t chosen = num_shards;
-            const std::size_t owned = (num_shards - me + workers - 1) /
-                                      workers;
-            for (std::size_t i = 0; i < owned; ++i) {
-                const std::size_t s =
-                    me + ((cursor + i) % owned) * workers;
-                if (s < num_shards && !shardQueues_[s].empty()) {
-                    chosen = s;
-                    cursor = (cursor + i + 1) % owned;
-                    break;
-                }
-            }
-            if (chosen == num_shards) {
-                if (stopping_) {
-                    return;
-                }
-                continue;
-            }
-            std::deque<Pending>& q = shardQueues_[chosen];
-            const auto take = std::min<std::size_t>(
-                q.size(), static_cast<std::size_t>(config_.batch_max));
-            for (std::size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(q.front()));
-                q.pop_front();
-            }
-        }
-        // One epoch for the whole batch: every response in it carries
-        // the same epoch, computed against one immutable graph.
-        const std::shared_ptr<const Snapshot> snap = store_.snapshot();
-        for (const Pending& p : batch) {
-            finish(p, engine_.executeOn(p.req, snap));
-        }
+    Pending p;
+    while (pop(&queries_, &p)) {
+        finish(p, engine_.execute(p.req));
+        // One snapshot pin per request, so batches == requests.
         obs::counterBump(track, obs::Counter::kServeBatches, 1);
-        obs::counterBump(track, obs::Counter::kServeRequests,
-                         batch.size());
+        obs::counterBump(track, obs::Counter::kServeRequests, 1);
     }
 }
 
@@ -242,19 +173,8 @@ Server::ingestLoop()
 {
     obs::Track* const track = obs::trackFor(
         obs::sink(), obs::TrackKind::kHost, kIngestTrackTid);
-    while (true) {
-        Pending p;
-        {
-            std::unique_lock<std::mutex> lock(ingestMutex_);
-            ingestCv_.wait(lock, [&] {
-                return stopping_ || !ingestQueue_.empty();
-            });
-            if (ingestQueue_.empty()) {
-                return; // stopping
-            }
-            p = std::move(ingestQueue_.front());
-            ingestQueue_.pop_front();
-        }
+    Pending p;
+    while (pop(&ingest_, &p)) {
         const Response r = engine_.execute(p.req);
         if (r.status == Status::kOk) {
             if (p.req.op == Op::kIngest) {
@@ -294,7 +214,7 @@ Server::statsJson() const
     const StoreStats st = store_.stats();
 
     ServeInfo info;
-    info.num_shards = store_.numShards();
+    info.num_workers = config_.num_workers;
     info.reordering =
         graph::reorderingName(store_.config().reordering);
     info.epoch = snap->epoch();

@@ -4,16 +4,17 @@
  *
  * Request flow: a transport feeds a Session's bytes; decoded requests
  * are routed — edge mutations (kIngest/kCompact) to the single ingest
- * thread, everything else to a per-shard queue keyed by the query's
- * source vertex in the *internal* (reordered) id space. Shard workers
- * drain one shard's queue up to batch_max requests at a time and
- * serve the whole batch against ONE pinned snapshot: consecutive
- * requests touch one contiguous, reordering-packed vertex range and
- * one epoch's caches, which is the server-side payoff of the PR-5
- * layouts. The ingest thread merges edge batches through the store,
- * publishing one epoch per batch beside the running kernels; only a
- * compaction serializes with them, on the engine's kernel mutex.
- * In-flight query batches keep their pinned epochs throughout.
+ * thread, everything else to one FIFO query queue. Every query is a
+ * whole-graph kernel run (or a cache hit on one) behind the engine's
+ * kernel mutex, so there is no per-vertex locality to route for: a
+ * worker pops the oldest request and answers it with
+ * QueryEngine::execute, which pins the current snapshot itself.
+ * Identical misses at one epoch run one kernel (the engine's
+ * single-flight cache, query.h). The ingest thread merges edge
+ * batches through the store, publishing one epoch per batch beside
+ * the running kernels; only a compaction serializes with them, on the
+ * engine's kernel mutex. In-flight queries keep their pinned epochs
+ * throughout.
  *
  * Latency accounting: every request is stamped at enqueue and its
  * class histogram (obs::LogHistogram, nanoseconds) updated when the
@@ -47,12 +48,10 @@
 
 namespace crono::serve {
 
-/** Server shape and batching policy. */
+/** Server shape. */
 struct ServerConfig {
-    /** Shard worker threads (clamped to the store's shard count). */
+    /** Query worker threads sharing the one request queue. */
     int num_workers = 2;
-    /** Max requests drained per shard batch (one snapshot pin). */
-    int batch_max = 16;
     /** Query-engine knobs (kernel threads, PageRank depth, cache). */
     QueryConfig query;
 };
@@ -68,11 +67,12 @@ class Server {
     Server(const Server&) = delete;
     Server& operator=(const Server&) = delete;
 
-    /** Spawn the shard workers and the ingest thread. */
+    /** Spawn the query workers and the ingest thread. */
     void start();
 
     /**
-     * Drain-and-join: in-queue requests are answered kRejected, every
+     * Drain-and-join: requests already being answered finish, queued
+     * ones and any routed afterwards are answered kRejected, every
      * session's waiters are released. Idempotent.
      */
     void stop();
@@ -104,8 +104,18 @@ class Server {
         std::uint64_t enqueue_ns = 0;
     };
 
-    /** Route one decoded request to its queue (or reject if down). */
+    /** One FIFO and its wakeup; stopping_ is read under its mutex. */
+    struct Queue {
+        std::mutex mutex;
+        std::condition_variable cv;
+        std::deque<Pending> items;
+    };
+
+    /** Queue one decoded request (or reject it if stopping). */
     void route(const std::shared_ptr<Session>& session, Request&& req);
+
+    /** Block for the next request of @p q; false once stopping. */
+    bool pop(Queue* q, Pending* out);
 
     void workerLoop(int w);
     void ingestLoop();
@@ -113,26 +123,20 @@ class Server {
     /** Record latency + class stats, then encode to the session. */
     void finish(const Pending& p, const Response& r);
 
-    /** Reject everything still queued (under no queue lock). */
-    void drainReject(std::deque<Pending>* queue);
+    /** Answer @p p kRejected at the current epoch. */
+    void reject(const Pending& p);
 
     GraphStore& store_;
     QueryEngine engine_;
     ServerConfig config_;
 
     std::atomic<bool> running_{false};
-    /// Written under both queue mutexes (wakeup safety); atomic so
-    /// route() can read it without them.
+    /// Set under both queue mutexes, so a route() holding either one
+    /// either queues before stop() swaps that queue out or sees it.
     std::atomic<bool> stopping_{false};
 
-    std::mutex queueMutex_;
-    std::condition_variable queueCv_;
-    std::vector<std::deque<Pending>> shardQueues_;
-    std::vector<std::size_t> nextShard_; ///< per-worker fairness cursor
-
-    std::mutex ingestMutex_;
-    std::condition_variable ingestCv_;
-    std::deque<Pending> ingestQueue_;
+    Queue queries_;
+    Queue ingest_; ///< kIngest / kCompact, one thread
 
     std::vector<std::thread> workers_;
     std::thread ingestThread_;

@@ -3,12 +3,12 @@
  * One client connection (DESIGN.md §17.4).
  *
  * A Session sits between a transport (in-process client, TCP
- * connection) and the server's shard queues. The transport side is
+ * connection) and the server's request queues. The transport side is
  * single-threaded per session: feed() splits the byte stream into
  * frames, decodes them, answers protocol errors immediately (into the
  * output buffer, attributed to the request id when it parsed), and
  * hands well-formed requests back for routing. The output side is
- * multi-writer: any shard worker may complete a request for this
+ * multi-writer: any query worker may complete a request for this
  * session at any time, so sendResponse() appends the encoded frame
  * under a mutex and wakes waiters; responses carry request ids, so no
  * cross-worker ordering is imposed (a client matches responses to

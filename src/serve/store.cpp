@@ -101,8 +101,6 @@ Snapshot::Snapshot(std::uint64_t epoch, graph::Graph graph,
 GraphStore::GraphStore(graph::Graph external, StoreConfig config)
     : config_(config)
 {
-    CRONO_REQUIRE(config_.num_shards >= 1,
-                  "store needs at least one shard");
     numVertices_ = external.numVertices();
     undirected_ = external.undirected();
     graph::ReorderedGraph rg = graph::reorderGraph(

@@ -25,12 +25,6 @@
  *    by itself; the caller asks compactionDue() and calls compact(),
  *    because reorderGraph records on the host obs track the kernels
  *    write (QueryEngine compacts under its kernel mutex).
- *
- * Sharding: internal vertex ids are split into num_shards contiguous
- * ranges. Because the graph is reordered, the ranges are meaningful —
- * under degree/hub orderings shard 0 holds the hot vertices — and the
- * server batches queries per shard so consecutive kernel runs touch
- * neighboring footprints.
  */
 
 #ifndef CRONO_SERVE_STORE_H_
@@ -51,7 +45,11 @@ namespace crono::serve {
 
 /** Store construction and compaction policy. */
 struct StoreConfig {
-    /** Contiguous internal-id shards (>= 1). */
+    /**
+     * Read by nothing. Kept only because the perfbench serve workload,
+     * which changes only together with the benchmark, still sets it;
+     * delete it at that change (ROADMAP item 6).
+     */
     int num_shards = 1;
     /** Ordering applied at build and re-applied on every compaction. */
     graph::Reordering reordering = graph::Reordering::kNone;
@@ -163,18 +161,6 @@ class GraphStore {
     std::uint64_t compact();
 
     StoreStats stats() const;
-
-    int numShards() const { return config_.num_shards; }
-
-    /** Shard of internal vertex @p v (contiguous ranges). */
-    int
-    shardOfInternal(graph::VertexId v) const
-    {
-        return static_cast<int>(
-            static_cast<std::uint64_t>(v) *
-            static_cast<std::uint64_t>(config_.num_shards) /
-            (numVertices_ > 0 ? numVertices_ : 1));
-    }
 
     const StoreConfig& config() const { return config_; }
 

@@ -257,7 +257,7 @@ checkServeDoc(const obs::json::Value& doc)
     const obs::json::Value* server = doc.find("server");
     ASSERT_NE(server, nullptr);
     ASSERT_TRUE(server->isObject());
-    expectNumber(*server, "num_shards");
+    expectNumber(*server, "num_workers");
     expectString(*server, "reordering");
     expectNumber(*server, "epoch");
     expectNumber(*server, "vertices");
@@ -411,7 +411,7 @@ std::string
 makeServeReportJson(bool with_workload)
 {
     serve::ServeInfo info;
-    info.num_shards = 4;
+    info.num_workers = 4;
     info.reordering = "degree";
     info.epoch = 7;
     info.vertices = 4096;
@@ -454,7 +454,7 @@ TEST(ReportSchema, ServeReportDocumentParses)
     const obs::json::Value doc =
         parseOrFail(makeServeReportJson(true), "serve report");
     checkServeDoc(doc);
-    EXPECT_EQ(doc.find("server")->find("num_shards")->num, 4.0);
+    EXPECT_EQ(doc.find("server")->find("num_workers")->num, 4.0);
     EXPECT_EQ(doc.find("server")->find("reordering")->str, "degree");
     // The zero-count class was skipped, the real ones kept.
     ASSERT_EQ(doc.find("classes")->arr.size(), 2u);

@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <latch>
 #include <map>
 #include <memory>
 #include <thread>
@@ -28,6 +30,8 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/reorder.h"
+#include "obs/json.h"
+#include "obs/telemetry.h"
 #include "runtime/executor.h"
 #include "serve/query.h"
 #include "serve/server.h"
@@ -36,7 +40,7 @@
 namespace crono::serve {
 namespace {
 
-/** Shared test input: small enough for TSan, sharded meaningfully. */
+/** Shared test input: small enough for TSan, skewed like kron-16. */
 graph::Graph
 testGraph()
 {
@@ -60,7 +64,6 @@ randomBatch(Rng* rng, graph::VertexId n, int count)
 TEST(ServeSnapshot, PinnedEpochSurvivesIngestAndCompaction)
 {
     StoreConfig cfg;
-    cfg.num_shards = 4;
     cfg.reordering = graph::Reordering::kDegreeSort;
     GraphStore store(testGraph(), cfg);
     rt::NativeExecutor exec(2);
@@ -125,7 +128,6 @@ TEST(ServeSnapshot, CompactionIsSemanticallyInvisible)
     for (const graph::Reordering r : graph::allReorderings()) {
         SCOPED_TRACE(graph::reorderingName(r));
         StoreConfig cfg;
-        cfg.num_shards = 3;
         cfg.reordering = r;
         GraphStore store(testGraph(), cfg);
         rt::NativeExecutor exec(2);
@@ -293,7 +295,6 @@ TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
     // same (op, source, target) carrying the same epoch must carry
     // the same values. We record every answer and verify globally.
     StoreConfig cfg;
-    cfg.num_shards = 4;
     cfg.reordering = graph::Reordering::kDegreeSort;
     cfg.compact_batches = 4; // force auto-compactions mid-run
     GraphStore store(testGraph(), cfg);
@@ -316,6 +317,7 @@ TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
     std::map<Key, std::vector<std::uint64_t>> seen;
     std::atomic<int> violations{0};
     std::atomic<int> errors{0};
+    std::atomic<int> answered{0};
 
     const auto clientBody = [&](int cid) {
         Client client(server);
@@ -335,6 +337,7 @@ TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
             req.target = static_cast<graph::VertexId>(
                 rng.nextBelow(n));
             const Response resp = client.call(req);
+            ++answered;
             if (resp.status != Status::kOk ||
                 resp.values.size() != 1) {
                 ++errors;
@@ -363,12 +366,24 @@ TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
     }
 
     // The mutator: ingest through its own wire client (exercising the
-    // server's ingest thread), letting auto-compaction trigger.
+    // server's ingest thread), letting auto-compaction trigger. It
+    // paces on answered queries, not on the clock, so every build
+    // (native, or sanitized with kernels slowed far more than ingests)
+    // sees about kAnswersPerEpoch queries per epoch: enough same-epoch
+    // repeats for the isolation check below to bite.
+    constexpr int kAnswersPerEpoch = 8;
     std::atomic<bool> stop_ingest{false};
     std::thread mutator([&] {
         Client client(server);
         Rng rng(31337);
+        int next = 0;
         while (!stop_ingest.load()) {
+            if (answered.load() < next) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(100));
+                continue;
+            }
+            next += kAnswersPerEpoch;
             Request req;
             req.op = Op::kIngest;
             req.edges = randomBatch(&rng, n, 8);
@@ -376,7 +391,6 @@ TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
             if (resp.status != Status::kOk) {
                 ++errors;
             }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
     });
 
@@ -407,10 +421,75 @@ TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
     EXPECT_GT(store.stats().epoch, 1u);
 }
 
+TEST(ServeSnapshot, IdenticalMissesRunOneKernel)
+{
+    // Single flight: eight clients raising the same miss at one pinned
+    // epoch (nothing is ingested) share one kernel run and get one
+    // answer, whichever of the two workers picks each request up.
+    obs::TelemetrySession telemetry;
+    GraphStore store(testGraph(), StoreConfig{});
+    rt::NativeExecutor exec(2);
+    Server server(store, exec);
+    server.start();
+    const graph::VertexId n = store.snapshot()->numVertices();
+
+    Request sssp;
+    sssp.op = Op::kSsspDist;
+    sssp.source = 3;
+    sssp.target = n - 1;
+    Request comp;
+    comp.op = Op::kComponent;
+    comp.source = 5;
+    constexpr int kClients = 8;
+    for (const Request& req : {sssp, comp}) {
+        SCOPED_TRACE(opName(req.op));
+        std::latch go(kClients);
+        std::vector<Response> answers(kClients);
+        std::vector<std::thread> clients;
+        for (int c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                Client client(server);
+                go.arrive_and_wait();
+                answers[static_cast<std::size_t>(c)] = client.call(req);
+            });
+        }
+        for (std::thread& t : clients) {
+            t.join();
+        }
+        for (const Response& r : answers) {
+            EXPECT_EQ(r.status, Status::kOk);
+            EXPECT_EQ(r.epoch, 1u);
+            EXPECT_EQ(r.values, answers.front().values);
+        }
+    }
+    server.stop();
+
+#if defined(CRONO_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "telemetry compiled out (CRONO_TELEMETRY=OFF)";
+#endif
+    int sssp_runs = 0;
+    int comp_runs = 0;
+    telemetry.recorder().forEachTrack(
+        [&](obs::TrackKind kind, int tid, const obs::Track& t) {
+            if (kind != obs::TrackKind::kHost || tid != 0) {
+                return;
+            }
+            for (const obs::SpanEvent& ev : t.spans()) {
+                if (ev.cat != obs::SpanCat::kKernel) {
+                    continue;
+                }
+                sssp_runs += std::strcmp(ev.name, "SSSP_DIJK") == 0;
+                comp_runs += std::strcmp(ev.name, "CONN_COMP") == 0;
+            }
+        });
+    EXPECT_EQ(sssp_runs, 1);
+    EXPECT_EQ(comp_runs, 1);
+}
+
 TEST(ServeSnapshot, ServerStopRejectsCleanly)
 {
     // Queries racing a stop() must either complete kOk or come back
-    // kRejected — never hang, never crash.
+    // kRejected — never hang, never crash, never go uncounted.
     GraphStore store(testGraph(), StoreConfig{});
     rt::NativeExecutor exec(2);
     Server server(store, exec);
@@ -445,6 +524,12 @@ TEST(ServeSnapshot, ServerStopRejectsCleanly)
         t.join();
     }
     EXPECT_EQ(finished.load(), 4 * 50);
+
+    // Every request sent was answered by the server, before or after
+    // the stop, and so is in the stats totals.
+    obs::json::Value stats;
+    ASSERT_TRUE(obs::json::parse(server.statsJson(), stats));
+    EXPECT_EQ(stats.find("totals")->find("requests")->asU64(), 4u * 50);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * crono_serve: stand up the graph query server over TCP.
  *
- * Builds (or generates) a graph, wraps it in a sharded
+ * Builds (or generates) a graph, wraps it in a reordered
  * snapshot-versioned GraphStore, and serves the binary protocol of
  * serve/protocol.h on 127.0.0.1:<port>. With --smoke, instead runs a
  * self-contained loopback exercise — listen on an ephemeral port,
@@ -12,7 +12,7 @@
  *
  * Usage:
  *   crono_serve [--scale=N] [--edge-factor=K] [--seed=S]
- *               [--shards=N] [--workers=N] [--threads=N]
+ *               [--workers=N] [--threads=N]
  *               [--reorder=none|degree|hub|bfs|rcm]
  *               [--port=P] [--smoke]
  */
@@ -39,7 +39,6 @@ struct Args {
     unsigned scale = 14;
     unsigned edge_factor = 8;
     std::uint64_t seed = 42;
-    int shards = 4;
     int workers = 2;
     int threads = 2;
     graph::Reordering reorder = graph::Reordering::kDegreeSort;
@@ -71,8 +70,6 @@ parseArgs(int argc, char** argv, Args* a)
                 static_cast<unsigned>(std::atoi(arg + 14));
         } else if (std::strncmp(arg, "--seed=", 7) == 0) {
             a->seed = std::strtoull(arg + 7, nullptr, 10);
-        } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-            a->shards = std::atoi(arg + 9);
         } else if (std::strncmp(arg, "--workers=", 10) == 0) {
             a->workers = std::atoi(arg + 10);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -215,7 +212,6 @@ main(int argc, char** argv)
         args.scale, args.edge_factor, /*max_weight=*/64, args.seed);
 
     serve::StoreConfig store_cfg;
-    store_cfg.num_shards = args.shards;
     store_cfg.reordering = args.reorder;
     serve::GraphStore store(std::move(g), store_cfg);
 
@@ -233,12 +229,12 @@ main(int argc, char** argv)
         return 1;
     }
     std::printf("serving %llu vertices / %llu edge slots on "
-                "127.0.0.1:%u (%d shards, %s order)\n",
+                "127.0.0.1:%u (%d workers, %s order)\n",
                 static_cast<unsigned long long>(
                     store.snapshot()->numVertices()),
                 static_cast<unsigned long long>(
                     store.snapshot()->numEdges()),
-                listener.port(), store.numShards(),
+                listener.port(), server_cfg.num_workers,
                 graph::reorderingName(store_cfg.reordering));
 
     int code = 0;
